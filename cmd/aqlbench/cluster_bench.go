@@ -69,7 +69,7 @@ func newE22Worker() *httptest.Server {
 	return httptest.NewServer(server.New(bench.MustSession(), server.Config{Workers: 1}))
 }
 
-func postE22(ts *httptest.Server, query string) (time.Duration, string) {
+func postE22(ts *httptest.Server, query string) (time.Duration, server.QueryResponse) {
 	body, err := json.Marshal(server.QueryRequest{Query: query})
 	if err != nil {
 		panic(err)
@@ -91,7 +91,25 @@ func postE22(ts *httptest.Server, query string) (time.Duration, string) {
 		os.Exit(1)
 	}
 	resp.Body.Close()
-	return d, qr.Mode
+	return d, qr
+}
+
+// stragglerHedgeWon reports whether the response shows shard 0 — the
+// straggler — answered by a hedged attempt. The coordinator-wide HedgeWins
+// counter also counts hedges that won on other shards, so it can exceed
+// the number of queries.
+func stragglerHedgeWon(qr server.QueryResponse) bool {
+	for _, sh := range qr.Shards {
+		if sh.Shard != 0 {
+			continue
+		}
+		for _, a := range sh.AttemptSpans {
+			if a.Outcome == "won" && a.Hedge {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func percentile(sorted []time.Duration, p float64) time.Duration {
@@ -140,10 +158,10 @@ func runE22() {
 	postE22(dist, query) // warm coordinator and worker caches
 	var distTotal time.Duration
 	for k := 0; k < reps; k++ {
-		d, mode := postE22(dist, query)
+		d, qr := postE22(dist, query)
 		distTotal += d
-		if mode != "distributed" {
-			fmt.Fprintf(os.Stderr, "aqlbench: e22 scatter ran in mode %q, want distributed\n", mode)
+		if qr.Mode != "distributed" {
+			fmt.Fprintf(os.Stderr, "aqlbench: e22 scatter ran in mode %q, want distributed\n", qr.Mode)
 			os.Exit(1)
 		}
 	}
@@ -169,15 +187,18 @@ func runE22() {
 		})
 		ts := httptest.NewServer(server.New(bench.MustSession(), server.Config{Workers: 1, Coordinator: c}))
 		defer ts.Close()
-		postE22(ts, tq)
-		winsBefore := c.Stats().HedgeWins.Load() // exclude the warm-up query
+		postE22(ts, tq) // warm-up, not counted
 		lat := make([]time.Duration, tailQ)
+		var wins int64
 		for k := range lat {
-			d, _ := postE22(ts, tq)
+			d, qr := postE22(ts, tq)
 			lat[k] = d
+			if stragglerHedgeWon(qr) {
+				wins++
+			}
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat, c.Stats().HedgeWins.Load() - winsBefore
+		return lat, wins
 	}
 	unhedged, _ := tail(0)
 	hedged, wins := tail(hedgeAfter)

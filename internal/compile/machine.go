@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -60,6 +61,73 @@ type machine struct {
 	argOK []bool
 
 	steps, cells, tabs, setOps, iters atomic.Int64
+}
+
+// newMachine resolves one execution's knobs into its machine; Engine.EvalExpr
+// and every Program entry point build theirs here. A configured step budget
+// routes every step through the budget check; workers <= 0 means
+// GOMAXPROCS; threshold 0 means DefaultThreshold and a negative one
+// disables parallel tabulation. Depth tracking is serial state on the
+// machine, so a MaxDepth limit forces serial tabulation too; correctness
+// beats parallelism here.
+func newMachine(ctx context.Context, lim eval.Limits, maxSteps int64, workers, threshold int) *machine {
+	m := &machine{
+		limits:    lim,
+		maxSteps:  maxSteps,
+		workers:   workers,
+		threshold: int64(threshold),
+		stepMask:  eval.InterruptInterval - 1,
+		ctx:       ctx,
+	}
+	if maxSteps > 0 || lim.MaxSteps > 0 {
+		m.stepMask = 0
+	}
+	if m.workers <= 0 {
+		m.workers = runtime.GOMAXPROCS(0)
+	}
+	switch {
+	case threshold < 0 || lim.MaxDepth > 0:
+		m.threshold = math.MaxInt64
+	case threshold == 0:
+		m.threshold = DefaultThreshold
+	}
+	if lim.Timeout > 0 {
+		m.deadline = time.Now().Add(lim.Timeout)
+	}
+	return m
+}
+
+// reset drops the machine's interrupt state and recursion depth once its
+// execution returns: closures that escape the execution capture the
+// machine, and a later call through them must not observe a stale context,
+// deadline or depth.
+func (m *machine) reset() {
+	m.ctx = nil
+	m.deadline = time.Time{}
+	m.depth = 0
+}
+
+// enter descends one level of recursion depth, failing with a typed depth
+// error past Limits.MaxDepth; leave ascends again. Both are no-ops without
+// a depth limit. They are the compiled depth guard (see compiler.compile),
+// also run by a Program's shard view for the nodes it executes inline.
+func (m *machine) enter() error {
+	max := m.limits.MaxDepth
+	if max <= 0 {
+		return nil
+	}
+	m.depth++
+	if m.depth > max {
+		m.depth--
+		return &eval.ResourceError{Kind: eval.ResourceDepth, Limit: int64(max), Used: int64(max) + 1}
+	}
+	return nil
+}
+
+func (m *machine) leave() {
+	if m.limits.MaxDepth > 0 {
+		m.depth--
+	}
 }
 
 // step charges one evaluator step; mirrors the per-node guards of

@@ -48,7 +48,7 @@ func engines(globals map[string]object.Value) map[string]eval.Engine {
 // configurations and requires byte-identical values AND exactly equal
 // counters — the parallel kernel's forked worker machines must flush their
 // counts so the join total matches a serial run to the step. Run under
-// -race this also exercises the disjoint-write claim of tabulateParallel.
+// -race this also exercises the disjoint-write claim of the fan-out.
 func TestParallelTabulationParity(t *testing.T) {
 	expr := bigTab(1000, 1000)
 	type outcome struct {

@@ -2,9 +2,6 @@ package compile
 
 import (
 	"context"
-	"math"
-	"runtime"
-	"time"
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/cost"
@@ -40,10 +37,10 @@ type Program struct {
 	limits eval.Limits
 	// shard is the range-partitionable view of the program, present when
 	// the top-level expression is a tabulation (possibly under a chain of
-	// let bindings); see range.go. nil otherwise.
+	// let bindings); see range.go. nil otherwise. When present, code is
+	// shard.run: local and distributed executions run the same closures.
 	shard *shardCode
-	// params maps $name placeholders to argument-frame indices; shared with
-	// the shard view so distributed executions see the same frame layout.
+	// params maps $name placeholders to argument-frame indices.
 	params *paramTable
 	// est is the prepare-time estimate tree (cost.Estimate over expr and
 	// the globals snapshot): per-operator cardinality and cost estimates
@@ -63,17 +60,15 @@ func NewProgram(expr ast.Expr, globals map[string]object.Value, limits eval.Limi
 	pt := &paramTable{}
 	c := &compiler{globals: globals, limits: limits, params: pt}
 	p := &Program{
-		code:     c.compile(expr),
-		maxSlots: c.maxSlots,
-		limits:   limits,
-		params:   pt,
-		est:      cost.Estimate(expr, globals),
+		limits: limits,
+		params: pt,
+		est:    cost.Estimate(expr, globals),
 	}
 	// The shardable core may sit under a chain of desugared let bindings
 	// (App{Lam, bound}), which the optimizer's let-hoisting produces when it
 	// pulls loop-invariant work out of a tabulation. Peel the chain so such
-	// plans stay range-partitionable; the bindings are re-established per
-	// shard (see range.go).
+	// plans stay range-partitionable; the shard view then is the whole
+	// program's code (see range.go).
 	var lets []letBinding
 	core := expr
 	for {
@@ -89,8 +84,12 @@ func NewProgram(expr ast.Expr, globals map[string]object.Value, limits eval.Limi
 		core = lam.Body
 	}
 	if tab, ok := core.(*ast.ArrayTab); ok {
-		p.shard = newShardCode(lets, tab, globals, limits, pt)
+		p.shard = c.compileShard(lets, tab)
+		p.code = p.shard.run
+	} else {
+		p.code = c.compile(expr)
 	}
+	p.maxSlots = c.maxSlots
 	return p
 }
 
@@ -135,56 +134,22 @@ type ExecOpts struct {
 // are all per-call.
 func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eval.Counters, error) {
 	m := p.newMachine(ctx, opts)
-	// Clear the interrupt state on the way out, as EvalExpr does: closures
-	// that escape this execution capture the machine, and a later call
-	// through them must not observe a stale context or deadline.
-	defer m.clearInterrupt()
+	defer m.reset()
 	fr := &frame{m: m, slots: make([]object.Value, p.maxSlots)}
 	v, err := p.code(fr)
 	return v, m.counters(), err
 }
 
 // newMachine builds the per-execution machine for one Execute-family call,
-// resolving opts against the program's compile-time limits.
+// resolving opts against the program's compile-time limits. The depth guard
+// is compiled in, so the machine's MaxDepth is always the program's.
 func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 	lim := opts.Limits
 	if lim == (eval.Limits{}) {
 		lim = p.limits
 	}
-	// The depth guard is compiled in; keep the machine's view consistent
-	// with it (a MaxDepth also forces serial tabulation below).
 	lim.MaxDepth = p.limits.MaxDepth
-
-	m := &machine{
-		limits:    lim,
-		maxSteps:  opts.MaxSteps,
-		workers:   opts.Workers,
-		threshold: int64(opts.Threshold),
-		stepMask:  eval.InterruptInterval - 1,
-	}
-	if opts.MaxSteps > 0 || lim.MaxSteps > 0 {
-		m.stepMask = 0
-	}
-	if m.workers <= 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Threshold == 0 {
-		m.threshold = DefaultThreshold
-	}
-	if opts.Threshold < 0 || lim.MaxDepth > 0 {
-		m.threshold = math.MaxInt64
-	}
-	m.ctx = ctx
-	if lim.Timeout > 0 {
-		m.deadline = time.Now().Add(lim.Timeout)
-	}
+	m := newMachine(ctx, lim, opts.MaxSteps, opts.Workers, opts.Threshold)
 	m.args, m.argOK = p.params.resolve(opts.Args)
 	return m
-}
-
-// clearInterrupt drops the machine's context and deadline so closures that
-// escaped the execution cannot observe stale interrupt state.
-func (m *machine) clearInterrupt() {
-	m.ctx = nil
-	m.deadline = time.Time{}
 }

@@ -2,10 +2,9 @@ package compile
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
@@ -23,6 +22,10 @@ import (
 //     coordinator partitions into contiguous row-major shards.
 //   - ExecuteRange evaluates the element loop over one such shard
 //     [start, end), charging only the head evaluations of that range.
+//
+// Both run the pieces of the one tabulation kernel (tabulate.go) that the
+// program's own Execute runs, compiled once, at the same recursion depths,
+// so a distributed run trips exactly the budgets a local one does.
 //
 // The decomposition is exactly-once by construction: elements are pure in
 // the index valuation, ranges are disjoint, and a failed or abandoned
@@ -45,41 +48,25 @@ type letCode struct {
 	code compiledExpr
 }
 
-// shardCode is the separately-compiled tabulation pieces behind a
-// range-partitionable Program: the peeled let bindings, the bound
-// expressions, the index slots, and the head closure, sharing one frame
-// layout of maxSlots slots.
+// shardCode is the range-partitionable view of a Program: the compiled let
+// chain and the tabulation beneath it, sharing the program's one frame
+// layout.
 type shardCode struct {
-	lets     []letCode
-	bounds   []compiledExpr
-	idxSlots []int
-	head     compiledExpr
-	maxSlots int
+	lets []letCode
+	tab  *tabCode
 }
 
-// newShardCode compiles the tabulation's pieces with a fresh resolve pass
-// (unprofiled, exactly as Programs always are; see Program doc). Let
-// bindings compile in order, each earlier binding in scope for the later
-// ones and for the tabulation itself; the program-wide param table is
-// shared so placeholder indices agree with the whole-program code.
-func newShardCode(lets []letBinding, tab *ast.ArrayTab, globals map[string]object.Value, limits eval.Limits, pt *paramTable) *shardCode {
-	c := &compiler{globals: globals, limits: limits, params: pt}
+// compileShard compiles a let chain over a tabulation in the program's own
+// resolve pass. Let bindings compile in order, each earlier binding in
+// scope for the later ones and for the tabulation itself.
+func (c *compiler) compileShard(lets []letBinding, tab *ast.ArrayTab) *shardCode {
 	sc := &shardCode{}
 	for _, l := range lets {
 		code := c.compile(l.bound)
 		sc.lets = append(sc.lets, letCode{slot: c.bind(l.name), code: code})
 	}
-	sc.bounds = make([]compiledExpr, len(tab.Bounds))
-	for j, b := range tab.Bounds {
-		sc.bounds[j] = c.compile(b)
-	}
-	sc.idxSlots = make([]int, len(tab.Idx))
-	for j, name := range tab.Idx {
-		sc.idxSlots[j] = c.bind(name)
-	}
-	sc.head = c.compile(tab.Head)
-	c.unbind(len(tab.Idx) + len(lets))
-	sc.maxSlots = c.maxSlots
+	sc.tab = c.compileTab(tab)
+	c.unbind(len(lets))
 	return sc
 }
 
@@ -88,17 +75,38 @@ func newShardCode(lets []letBinding, tab *ast.ArrayTab, globals map[string]objec
 // PlanShards/ExecuteRange are available.
 func (p *Program) Rangeable() bool { return p.shard != nil }
 
-// evalLets establishes the peeled let bindings in fr, mirroring the
-// single-node compiled execution of the App{Lam, bound} chain exactly: the
-// App node's step, the Lam's closure-creation step, then the bound
-// expression, with a ⊥ binding returned as the chain's value (App
-// short-circuits on a ⊥ argument without entering the body).
-func (sc *shardCode) evalLets(m *machine, fr *frame) (object.Value, error) {
+// run is the whole program: the let chain, then the tabulation over its
+// whole element space.
+func (sc *shardCode) run(fr *frame) (object.Value, error) {
+	if bot, err := sc.enter(fr); err != nil || bot.IsBottom() {
+		return bot, err
+	}
+	return sc.tab.eval(fr)
+}
+
+// enter establishes the let bindings in fr and enters the tabulation node,
+// charging exactly what compiled code for the App{Lam, bound} chain
+// charges: per binding, the App node's depth level and step, the Lam's
+// depth level and closure-creation step, then the bound expression one
+// level below the App. A ⊥ binding is returned as the chain's value (App
+// short-circuits on a ⊥ argument without entering the body). The levels
+// entered stay entered until machine.reset: the tabulation's bounds and
+// head then run at the depths a compiled run of the chain gives them.
+func (sc *shardCode) enter(fr *frame) (object.Value, error) {
+	m := fr.m
 	for _, l := range sc.lets {
-		if err := m.step(); err != nil { // the App node
+		if err := m.enter(); err != nil { // the App node
 			return object.Value{}, err
 		}
-		if err := m.step(); err != nil { // the Lam's closure creation
+		if err := m.step(); err != nil {
+			return object.Value{}, err
+		}
+		if err := m.enter(); err != nil { // the Lam node
+			return object.Value{}, err
+		}
+		err := m.step()
+		m.leave()
+		if err != nil {
 			return object.Value{}, err
 		}
 		v, err := l.code(fr)
@@ -110,7 +118,7 @@ func (sc *shardCode) evalLets(m *machine, fr *frame) (object.Value, error) {
 		}
 		fr.slots[l.slot] = v
 	}
-	return object.Value{}, nil
+	return object.Value{}, m.enter() // the tabulation node
 }
 
 // ShardPlan is the result of evaluating a tabulation's prologue: the shape
@@ -128,62 +136,26 @@ type ShardPlan struct {
 	Counters eval.Counters
 }
 
-// PlanShards evaluates the tabulation prologue under ctx and opts. It
-// mirrors the compiled tabulation closure exactly — step charge, bounds in
-// order, ⊥ short-circuit, size saturation, the pre-allocation cell charge,
-// and the shape-overflow diagnostic — so a distributed run's merged
+// PlanShards evaluates the let chain and the tabulation prologue under ctx
+// and opts, through the same code as Execute, so a distributed run's merged
 // counters and failure behaviour match a local one's.
 func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, error) {
-	sc := p.shard
-	if sc == nil {
-		return nil, fmt.Errorf("compile: program is not range-partitionable")
+	if p.shard == nil {
+		return nil, errNotRangeable
 	}
 	m := p.newMachine(ctx, opts)
-	defer m.clearInterrupt()
-	fr := &frame{m: m, slots: make([]object.Value, sc.maxSlots)}
-	if bot, err := sc.evalLets(m, fr); err != nil {
-		return nil, err
-	} else if bot.IsBottom() {
-		return &ShardPlan{Bottom: bot, Counters: m.counters()}, nil
+	defer m.reset()
+	fr := &frame{m: m, slots: make([]object.Value, p.maxSlots)}
+	var shape []int
+	var size int64
+	bot, err := p.shard.enter(fr)
+	if err == nil && !bot.IsBottom() {
+		shape, size, bot, err = p.shard.tab.prologue(fr)
 	}
-	if err := m.step(); err != nil {
-		return nil, err
-	}
-	m.tabs.Add(1)
-	shape := make([]int, len(sc.bounds))
-	size := int64(1)
-	for j, b := range sc.bounds {
-		v, err := b(fr)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsBottom() {
-			return &ShardPlan{Bottom: v, Counters: m.counters()}, nil
-		}
-		n, err := v.AsNat()
-		if err != nil {
-			return nil, fmt.Errorf("eval: tabulation bound %d: %w", j+1, err)
-		}
-		shape[j] = int(n)
-		if n > 0 && size > math.MaxInt64/n {
-			size = math.MaxInt64 // saturate; the charge below will trip
-		} else {
-			size *= n
-		}
-	}
-	if err := m.chargeCells(size); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	// Mirror tabulateSerial's int-width overflow diagnostic for shapes that
-	// survive an unlimited cell budget.
-	isize := 1
-	for _, n := range shape {
-		if n > 0 && isize > int(^uint(0)>>1)/n {
-			return nil, fmt.Errorf("object: tabulation shape %v overflows", shape)
-		}
-		isize *= n
-	}
-	return &ShardPlan{Shape: shape, Size: size, Counters: m.counters()}, nil
+	return &ShardPlan{Shape: shape, Size: size, Bottom: bot, Counters: m.counters()}, nil
 }
 
 // RangeResult is one contiguous row-major slice of a tabulation's elements.
@@ -192,8 +164,8 @@ type RangeResult struct {
 	Values []object.Value
 	// BottomOff is the absolute offset of the first ⊥ element within the
 	// range (-1 when none); Bottom is that element. A ⊥ poisons the whole
-	// tabulation, but the scan still completes the range — exactly as the
-	// serial kernel does — so counters stay execution-order independent.
+	// tabulation, but the scan still completes the range — exactly as a
+	// whole-array scan does — so counters stay execution-order independent.
 	BottomOff int64
 	Bottom    object.Value
 	// Counters is the work the range's head evaluations charged.
@@ -217,10 +189,10 @@ func (e *RangeError) Unwrap() error { return e.Err }
 // the given shape, charging exactly the counters a serial scan of those
 // offsets charges. The shape is a parameter — not re-derived from the
 // bounds — so a worker executing a shard does not repeat (or re-count) the
-// coordinator's prologue. Ranges of at least the parallel threshold fan out
-// across local workers with forked counter machines, preserving exact
-// totals and first-⊥/lowest-offset-error determinism exactly as the
-// whole-array kernel does.
+// coordinator's prologue. The range runs through the element loop of the
+// whole-array kernel, so ranges of at least the parallel threshold fan out
+// across local workers with the same exact totals and first-⊥ and
+// lowest-offset-error determinism.
 //
 // When the program's shardable core sits under let bindings, each range
 // execution re-establishes them (elements are pure, so the values are
@@ -229,9 +201,8 @@ func (e *RangeError) Unwrap() error { return e.Err }
 // reproduce a single-node run's exactly. The re-evaluation does consume
 // this execution's budgets — budgets apply per shard by design.
 func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, start, end int64) (*RangeResult, error) {
-	sc := p.shard
-	if sc == nil {
-		return nil, fmt.Errorf("compile: program is not range-partitionable")
+	if p.shard == nil {
+		return nil, errNotRangeable
 	}
 	size := int64(1)
 	for _, n := range shape {
@@ -247,41 +218,37 @@ func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, 
 		return nil, fmt.Errorf("compile: range [%d, %d) outside element space of size %d", start, end, size)
 	}
 	m := p.newMachine(ctx, opts)
-	defer m.clearInterrupt()
-	proto := make([]object.Value, sc.maxSlots)
-	var base eval.Counters
-	if len(sc.lets) > 0 {
-		lfr := &frame{m: m, slots: proto}
-		bot, err := sc.evalLets(m, lfr)
-		if err != nil {
-			return nil, err
-		}
-		if bot.IsBottom() {
-			// Unreachable under a correct coordinator — PlanShards reports a
-			// ⊥ binding before any shard is dispatched — but report the
-			// poison coherently rather than scanning a meaningless range.
-			data := make([]object.Value, end-start)
-			for i := range data {
-				data[i] = bot
-			}
-			return &RangeResult{Values: data, Bottom: bot, BottomOff: start}, nil
-		}
-		base = m.counters()
-	}
-	n := end - start
-	var res *RangeResult
-	var err error
-	if n >= m.threshold && n <= math.MaxInt64/2 && m.workers > 1 {
-		res, err = rangeParallel(m, sc, shape, start, end, proto)
-	} else {
-		res, err = rangeSerial(m, sc, shape, start, end, proto)
-	}
+	defer m.reset()
+	fr := &frame{m: m, slots: make([]object.Value, p.maxSlots)}
+	bot, err := p.shard.enter(fr)
 	if err != nil {
 		return nil, err
 	}
-	res.Counters = subCounters(res.Counters, base)
+	if bot.IsBottom() {
+		// Unreachable under a correct coordinator — PlanShards reports a ⊥
+		// binding before any shard is dispatched — but report the poison
+		// coherently rather than scanning a meaningless range.
+		data := make([]object.Value, end-start)
+		for i := range data {
+			data[i] = bot
+		}
+		return &RangeResult{Values: data, Bottom: bot, BottomOff: start}, nil
+	}
+	base := m.counters()
+	data, r := p.shard.tab.elements(fr, shape, start, end)
+	if r.err != nil {
+		return nil, &RangeError{Off: r.errOff, Err: r.err}
+	}
+	res := &RangeResult{Values: data, BottomOff: r.bottomOff, Counters: subCounters(m.counters(), base)}
+	if r.bottomOff >= 0 {
+		res.Bottom = data[r.bottomOff-start]
+	}
 	return res, nil
 }
+
+// errNotRangeable rejects PlanShards/ExecuteRange on a program whose
+// top-level expression is not a tabulation.
+var errNotRangeable = errors.New("compile: program is not range-partitionable")
 
 // subCounters subtracts b fieldwise from a; used to report head-only work
 // for ranges whose let prologue was already counted by PlanShards.
@@ -293,116 +260,4 @@ func subCounters(a, b eval.Counters) eval.Counters {
 		SetOps: a.SetOps - b.SetOps,
 		Iters:  a.Iters - b.Iters,
 	}
-}
-
-// rangeSerial scans [start, end) on the calling goroutine. proto is the
-// slot template carrying the let-binding values; it is cloned because head
-// evaluation rebinds loop slots in place.
-func rangeSerial(m *machine, sc *shardCode, shape []int, start, end int64, proto []object.Value) (*RangeResult, error) {
-	slots := make([]object.Value, len(proto))
-	copy(slots, proto)
-	fr := &frame{m: m, slots: slots}
-	data := make([]object.Value, end-start)
-	res := &RangeResult{Values: data, BottomOff: -1}
-	idx := unflatten(int(start), shape)
-	for off := start; off < end; off++ {
-		for j, s := range sc.idxSlots {
-			fr.slots[s] = object.Nat(int64(idx[j]))
-		}
-		v, err := sc.head(fr)
-		if err != nil {
-			res.Counters = m.counters()
-			return nil, &RangeError{Off: off, Err: err}
-		}
-		if v.IsBottom() && res.BottomOff < 0 {
-			res.Bottom, res.BottomOff = v, off
-		}
-		data[off-start] = v
-		advance(idx, shape)
-	}
-	res.Counters = m.counters()
-	return res, nil
-}
-
-// rangeParallel fans [start, end) across local workers, mirroring
-// tabulateParallel: contiguous sub-ranges, forked machines flushed at join
-// (so counters equal a serial scan's), lowest-offset error and first-⊥
-// determinism, and early exit only for resource errors.
-func rangeParallel(m *machine, sc *shardCode, shape []int, start, end int64, proto []object.Value) (*RangeResult, error) {
-	size := int(end - start)
-	nw := m.workers
-	if max := (size + minChunk - 1) / minChunk; nw > max {
-		nw = max
-	}
-	chunk := (size + nw - 1) / nw
-
-	type workerResult struct {
-		err       error
-		errOff    int64
-		bottom    object.Value
-		bottomOff int64
-	}
-	results := make([]workerResult, nw)
-	data := make([]object.Value, size)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := start + int64(w*chunk)
-		hi := lo + int64(chunk)
-		if hi > end {
-			hi = end
-		}
-		res := &results[w]
-		res.errOff, res.bottomOff = -1, -1
-		if lo >= hi {
-			continue
-		}
-		wm := m.fork()
-		wg.Add(1)
-		go func(lo, hi int64, res *workerResult, wm *machine) {
-			defer wg.Done()
-			slots := make([]object.Value, len(proto))
-			copy(slots, proto)
-			wfr := &frame{m: wm, slots: slots}
-			defer wm.flush()
-			idx := unflatten(int(lo), shape)
-			for off := lo; off < hi; off++ {
-				if failed.Load() {
-					return
-				}
-				for j, s := range sc.idxSlots {
-					wfr.slots[s] = object.Nat(int64(idx[j]))
-				}
-				v, err := sc.head(wfr)
-				if err != nil {
-					res.err, res.errOff = err, off
-					if isResourceErr(err) {
-						failed.Store(true)
-					}
-					return
-				}
-				if v.IsBottom() && res.bottomOff < 0 {
-					res.bottom, res.bottomOff = v, off
-				}
-				data[off-start] = v
-				advance(idx, shape)
-			}
-		}(lo, hi, res, wm)
-	}
-	wg.Wait()
-
-	// Workers cover disjoint ascending sub-ranges, so the first hit wins.
-	for i := range results {
-		if results[i].err != nil {
-			return nil, &RangeError{Off: results[i].errOff, Err: results[i].err}
-		}
-	}
-	out := &RangeResult{Values: data, BottomOff: -1, Counters: m.counters()}
-	for i := range results {
-		if results[i].bottomOff >= 0 {
-			out.Bottom, out.BottomOff = results[i].bottom, results[i].bottomOff
-			break
-		}
-	}
-	return out, nil
 }

@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -283,5 +284,74 @@ func TestExecuteRangeValidation(t *testing.T) {
 	}
 	if _, err := q.ExecuteRange(ctx, ExecOpts{}, []int{1}, 0, 1); err == nil {
 		t.Error("ExecuteRange on non-rangeable program succeeded")
+	}
+}
+
+// TestRangeDepthParity: under a MaxDepth limit, PlanShards + ExecuteRange
+// over the whole element space trip exactly when Execute does, with the
+// same typed error — the lets, the prologue and the head run at the depths
+// a local execution gives them, so a cluster cannot answer a query that
+// fails locally (or the reverse). Execute itself must agree with the
+// interpreter. Covers a bare tabulation and one under a peeled let chain.
+func TestRangeDepthParity(t *testing.T) {
+	letTab := &ast.ArrayTab{
+		Head: &ast.Arith{Op: ast.OpMod,
+			L: &ast.Arith{Op: ast.OpAdd,
+				L: &ast.Arith{Op: ast.OpMul, L: v("i"), R: v("c")},
+				R: v("d")},
+			R: nat(101)},
+		Idx:    []string{"i"},
+		Bounds: []ast.Expr{nat(30)},
+	}
+	plans := map[string]ast.Expr{
+		"rangeTab": rangeTab(3, 4),
+		"lets": letsOver(letTab,
+			[2]any{"c", ast.Expr(&ast.Arith{Op: ast.OpMul, L: nat(6), R: nat(7)})},
+			[2]any{"d", ast.Expr(&ast.Arith{Op: ast.OpAdd, L: v("c"), R: nat(3)})},
+		),
+	}
+	ctx := context.Background()
+	for name, expr := range plans {
+		for depth := 1; depth <= 8; depth++ {
+			t.Run(fmt.Sprintf("%s/depth=%d", name, depth), func(t *testing.T) {
+				lim := eval.Limits{MaxDepth: depth}
+				p := NewProgram(expr, nil, lim)
+				want, _, wantErr := p.Execute(ctx, ExecOpts{})
+				// Execute runs the shard view's pieces; hold it to the
+				// interpreter under the same limit.
+				in := eval.New(nil)
+				in.Limits = lim
+				if iv, ierr := in.EvalExpr(ctx, expr); fmt.Sprint(ierr) != fmt.Sprint(wantErr) || iv.String() != want.String() {
+					t.Fatalf("Execute = (%s, %v), interpreter = (%s, %v)", want, wantErr, iv, ierr)
+				}
+
+				var got object.Value
+				plan, err := p.PlanShards(ctx, ExecOpts{})
+				if err == nil && !plan.Bottom.IsBottom() {
+					var res *RangeResult
+					res, err = p.ExecuteRange(ctx, ExecOpts{}, plan.Shape, 0, plan.Size)
+					if err == nil {
+						got = object.Value{Kind: object.KArray, Shape: plan.Shape, Data: res.Values}
+					}
+				}
+
+				if (wantErr == nil) != (err == nil) {
+					t.Fatalf("Execute err = %v, shard path err = %v", wantErr, err)
+				}
+				if wantErr == nil {
+					if !object.Equal(got, want) {
+						t.Errorf("shard path value differs from Execute's")
+					}
+					return
+				}
+				var wre, gre *eval.ResourceError
+				if !errors.As(wantErr, &wre) || !errors.As(err, &gre) {
+					t.Fatalf("errors not ResourceErrors: Execute %v, shard path %v", wantErr, err)
+				}
+				if wre.Kind != gre.Kind || wre.Limit != gre.Limit {
+					t.Errorf("shard path tripped %s/%d, Execute %s/%d", gre.Kind, gre.Limit, wre.Kind, wre.Limit)
+				}
+			})
+		}
 	}
 }

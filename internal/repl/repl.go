@@ -271,9 +271,7 @@ func (s *Session) Optimize(core ast.Expr) ast.Expr {
 	sp := s.Trace.StartPhase(trace.PhaseOptimize)
 	defer sp.End()
 	before := ast.CountNodes(core)
-	o.Trace = s.Trace.RuleFired
-	defer func() { o.Trace = nil }()
-	out := o.Optimize(core)
+	out := o.OptimizeTraced(core, s.Trace.RuleFired)
 	s.Trace.RecordNodes(before, ast.CountNodes(out))
 	return out
 }
